@@ -17,7 +17,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/pvtdata"
 	"repro/internal/service"
-	"repro/internal/wire"
 )
 
 // defaultClusterConfig mirrors the in-process demo topology: three
@@ -98,17 +97,12 @@ func runRoleNamed(cmd, role string, args []string) error {
 	ordererAddr := fs.String("orderer", "", "orderer address (peer and gateway roles)")
 	peers := fs.String("peers", "", "peer addresses as name=addr,name=addr")
 	tlsOn := fs.Bool("tls", false, "pinned-key TLS on the listener and every dial")
-	codecFlag := fs.String("codec", "", "wire payload codec for dials: binary (default) or json")
 	var snapshotFrom *string
 	if role == "peer" {
 		snapshotFrom = fs.String("snapshot-from", "",
 			"peer to fetch the bootstrap snapshot from when the orderer log is compacted (default: first peer in -peers)")
 	}
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	codec, err := wire.ParseCodec(*codecFlag)
-	if err != nil {
 		return err
 	}
 	cfg, err := loadOrDefaultConfig(*configPath)
@@ -131,7 +125,6 @@ func runRoleNamed(cmd, role string, args []string) error {
 		OrdererAddr: *ordererAddr,
 		PeerAddrs:   peerAddrs,
 		TLS:         *tlsOn,
-		Codec:       codec,
 		Log:         os.Stderr,
 	}
 	if snapshotFrom != nil {
@@ -149,12 +142,7 @@ func runUp(args []string) error {
 	tlsOn := fs.Bool("tls", false, "pinned-key TLS between every process")
 	dir := fs.String("dir", "", "working directory for material/config (default: a temp dir)")
 	smoke := fs.Bool("smoke", true, "submit a smoke transaction after launch")
-	codecFlag := fs.String("codec", "", "wire payload codec: binary (default) or json")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	codec, err := wire.ParseCodec(*codecFlag)
-	if err != nil {
 		return err
 	}
 	cfg, err := loadOrDefaultConfig(*configPath)
@@ -173,7 +161,6 @@ func runUp(args []string) error {
 	cl, err := node.LaunchCluster(cfg, node.LaunchOptions{
 		Dir:    workDir,
 		TLS:    *tlsOn,
-		Codec:  codec,
 		Stderr: os.Stderr,
 	})
 	if err != nil {

@@ -51,35 +51,29 @@ type Event interface {
 	BlockNumber() uint64
 }
 
-// EncSlots is the number of serialization-cache slots an event carries:
-// one per wire codec (the wire transport uses slot 0 for JSON, slot 1
-// for its binary codec).
-const EncSlots = 2
-
-// EncCache memoizes an event's serialized forms. Events fan out to
-// every subscriber by pointer, and the wire transport used to re-marshal
-// the same event once per remote subscriber; caching the encoding
-// mirrors ledger.Transaction.Bytes() — an event is immutable once
-// published, so its serialization is fixed from the first encode on.
-// The slots are independent because each codec produces different
-// bytes. Racing encoders may both run fn, but they produce identical
-// bytes, so either result may win the slot.
+// EncCache memoizes an event's serialized form. Events fan out to
+// every subscriber by pointer, and the wire transport would otherwise
+// re-marshal the same event once per remote subscriber; caching the
+// encoding mirrors ledger.Transaction.Bytes() — an event is immutable
+// once published, so its serialization is fixed from the first encode
+// on. Racing encoders may both run fn, but they produce identical
+// bytes, so either result may win.
 type EncCache struct {
-	enc [EncSlots]atomic.Pointer[[]byte]
+	enc atomic.Pointer[[]byte]
 }
 
-// Encoded returns the cached serialization for slot, computing and
-// caching it with fn on first use. A nil result from fn is returned but
-// never cached. Callers must not mutate the returned bytes.
-func (c *EncCache) Encoded(slot int, fn func() []byte) []byte {
-	if p := c.enc[slot].Load(); p != nil {
+// Encoded returns the cached serialization, computing and caching it
+// with fn on first use. A nil result from fn is returned but never
+// cached. Callers must not mutate the returned bytes.
+func (c *EncCache) Encoded(fn func() []byte) []byte {
+	if p := c.enc.Load(); p != nil {
 		return *p
 	}
 	b := fn()
 	if b == nil {
 		return nil
 	}
-	c.enc[slot].Store(&b)
+	c.enc.Store(&b)
 	return b
 }
 

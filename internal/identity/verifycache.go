@@ -39,22 +39,36 @@ const DefaultVerifyCacheSize = 4096
 //     entries into misses (they are evicted lazily).
 //   - Capacity is bounded; least-recently-used entries are evicted.
 //
+// The first verification of a key is single-flight: callers that miss
+// while another caller is already verifying the same key wait for that
+// outcome instead of repeating the ECDSA work, and count as hits.
+//
 // The zero value is not usable; construct with NewVerifyCache. All
 // methods are safe for concurrent use by validation workers.
 type VerifyCache struct {
 	verifier *Verifier
 	counters *metrics.Counters // optional hit/miss counters
 
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	mu       sync.Mutex
+	cap      int
+	ll       *list.List // front = most recently used
+	items    map[string]*list.Element
+	inflight map[string]*flight
 }
 
 type cacheEntry struct {
 	key  string
 	gen  uint64
-	cert *Certificate // nil for endorsement entries
+	cert *Certificate
+}
+
+// flight is one in-progress first verification of a key; done closes
+// once cert/err are set.
+type flight struct {
+	gen  uint64
+	done chan struct{}
+	cert *Certificate
+	err  error
 }
 
 // NewVerifyCache wraps a Verifier with an LRU verification cache.
@@ -71,6 +85,7 @@ func NewVerifyCache(v *Verifier, capacity int, counters *metrics.Counters) *Veri
 		cap:      capacity,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
+		inflight: make(map[string]*flight),
 	}
 }
 
@@ -92,41 +107,59 @@ func (c *VerifyCache) Flush() {
 	c.items = make(map[string]*list.Element)
 }
 
-// lookup returns the entry for key when present and current. Stale
-// (old-generation) entries are removed.
-func (c *VerifyCache) lookup(key string, gen uint64) (*cacheEntry, bool) {
+// get returns the certificate verified under key, running verify on a
+// miss. Concurrent misses on one key share a single verify call: the
+// first caller runs it, later callers wait for its outcome and report
+// hit. Only successful verifications are stored.
+func (c *VerifyCache) get(key string, gen uint64, verify func() (*Certificate, error)) (cert *Certificate, hit bool, err error) {
 	if c.cap < 0 {
-		return nil, false
+		cert, err = verify()
+		return cert, false, err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.gen != gen {
+	if el, ok := c.items[key]; ok {
+		e := el.Value.(*cacheEntry)
+		if e.gen == gen {
+			c.ll.MoveToFront(el)
+			c.mu.Unlock()
+			return e.cert, true, nil
+		}
+		// Stale (old-generation) entries are removed.
 		c.ll.Remove(el)
 		delete(c.items, key)
-		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return e, true
+	if f, ok := c.inflight[key]; ok && f.gen == gen {
+		c.mu.Unlock()
+		<-f.done
+		return f.cert, f.err == nil, f.err
+	}
+	f := &flight{gen: gen, done: make(chan struct{})}
+	c.inflight[key] = f
+	c.mu.Unlock()
+
+	f.cert, f.err = verify()
+
+	c.mu.Lock()
+	if c.inflight[key] == f {
+		delete(c.inflight, key)
+	}
+	if f.err == nil {
+		c.storeLocked(&cacheEntry{key: key, gen: gen, cert: f.cert})
+	}
+	c.mu.Unlock()
+	close(f.done)
+	return f.cert, false, f.err
 }
 
-// store inserts a verified entry, evicting the LRU tail past capacity.
-func (c *VerifyCache) store(key string, e *cacheEntry) {
-	if c.cap < 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+// storeLocked inserts a verified entry, evicting the LRU tail past
+// capacity. c.mu must be held.
+func (c *VerifyCache) storeLocked(e *cacheEntry) {
+	if el, ok := c.items[e.key]; ok {
 		el.Value = e
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(e)
+	c.items[e.key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
@@ -154,22 +187,22 @@ func endorsementKey(certBytes, msg, sig []byte) string {
 // ParseAndValidate parses a serialized certificate and checks its CA
 // signature, serving repeat certificates from the cache.
 func (c *VerifyCache) ParseAndValidate(certBytes []byte) (*Certificate, error) {
-	gen := c.verifier.Generation()
-	key := certKey(certBytes)
-	if e, ok := c.lookup(key, gen); ok {
+	cert, hit, err := c.get(certKey(certBytes), c.verifier.Generation(), func() (*Certificate, error) {
+		cert, err := ParseCertificate(certBytes)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.verifier.ValidateCertificate(cert); err != nil {
+			return nil, err
+		}
+		return cert, nil
+	})
+	if hit {
 		c.hit()
-		return e.cert, nil
+	} else {
+		c.miss()
 	}
-	c.miss()
-	cert, err := ParseCertificate(certBytes)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.verifier.ValidateCertificate(cert); err != nil {
-		return nil, err
-	}
-	c.store(key, &cacheEntry{key: key, gen: gen, cert: cert})
-	return cert, nil
+	return cert, err
 }
 
 // VerifyEndorsement checks that sig over msg was produced by the subject
@@ -177,19 +210,20 @@ func (c *VerifyCache) ParseAndValidate(certBytes []byte) (*Certificate, error) {
 // a trusted CA — the cached equivalent of ParseCertificate +
 // Verifier.VerifySignature. On a full hit no ECDSA operation runs.
 func (c *VerifyCache) VerifyEndorsement(certBytes, msg, sig []byte) (*Certificate, error) {
-	gen := c.verifier.Generation()
-	eKey := endorsementKey(certBytes, msg, sig)
-	if e, ok := c.lookup(eKey, gen); ok {
+	// An endorsement miss is not counted: the certificate lookup inside
+	// counts the hit or miss that follows.
+	cert, hit, err := c.get(endorsementKey(certBytes, msg, sig), c.verifier.Generation(), func() (*Certificate, error) {
+		cert, err := c.ParseAndValidate(certBytes)
+		if err != nil {
+			return nil, err
+		}
+		if err := fabcrypto.Verify(cert.PubKey, msg, sig); err != nil {
+			return nil, fmt.Errorf("identity: signature by %q: %w", cert.Subject, err)
+		}
+		return cert, nil
+	})
+	if hit {
 		c.hit()
-		return e.cert, nil
 	}
-	cert, err := c.ParseAndValidate(certBytes)
-	if err != nil {
-		return nil, err
-	}
-	if err := fabcrypto.Verify(cert.PubKey, msg, sig); err != nil {
-		return nil, fmt.Errorf("identity: signature by %q: %w", cert.Subject, err)
-	}
-	c.store(eKey, &cacheEntry{key: eKey, gen: gen, cert: cert})
-	return cert, nil
+	return cert, err
 }

@@ -188,3 +188,34 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestVerifyCacheFirstVerifySingleFlight: callers racing on a cold
+// certificate share one verification — exactly one miss, every other
+// caller a hit.
+func TestVerifyCacheFirstVerifySingleFlight(t *testing.T) {
+	_, id, v := cacheFixture(t)
+	counters := &metrics.Counters{}
+	c := NewVerifyCache(v, 0, counters)
+	certBytes := id.Cert.Bytes()
+	const callers = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := c.ParseAndValidate(certBytes); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if misses := counters.Get(metrics.VerifyCacheMisses); misses != 1 {
+		t.Fatalf("misses = %d, want 1", misses)
+	}
+	if hits := counters.Get(metrics.VerifyCacheHits); hits != callers-1 {
+		t.Fatalf("hits = %d, want %d", hits, callers-1)
+	}
+}

@@ -148,6 +148,22 @@ func TestAbandonedHandlesDoNotLeak(t *testing.T) {
 	}
 }
 
+// TestMechanismsReportNoLeakedSubscriptions: the mechanisms run's
+// leaked_subscriptions counts only streams that outlive their gateway,
+// not the one shared commit-status stream each open gateway holds.
+func TestMechanismsReportNoLeakedSubscriptions(t *testing.T) {
+	m, err := MeasureMechanisms(testConfig(), 7, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Abandoned == 0 {
+		t.Fatal("no handles were abandoned")
+	}
+	if m.LeakedSubscriptions != 0 {
+		t.Fatalf("leaked_subscriptions = %d, want 0", m.LeakedSubscriptions)
+	}
+}
+
 // TestAdmissionShedsUnderPressure: with per-client admission far below
 // the unpaced submission rate, the run must shed (and clients retry);
 // every scheduled transaction still completes or is counted dropped.

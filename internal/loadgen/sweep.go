@@ -123,8 +123,9 @@ type Mechanisms struct {
 	DedupHits            uint64 `json:"dedup_hits"`
 	DedupMisses          uint64 `json:"dedup_misses"`
 	// LeakedSubscriptions is the commit peers' live deliver-subscription
-	// count after every handle completed or was closed — 0 proves the
-	// abandon path releases its streams.
+	// count once the run ended and every client gateway closed, minus
+	// the count before any client ran — 0 proves neither completed nor
+	// abandoned handles leave a stream behind.
 	LeakedSubscriptions int `json:"leaked_subscriptions"`
 	// MeanBatchSize is tx_ordered / blocks_ordered over the whole
 	// harness lifetime — > 1 under concurrent waiters shows the targeted
@@ -143,6 +144,7 @@ func MeasureMechanisms(cfg Config, txPerClient int, rate float64) (Mechanisms, e
 		return Mechanisms{}, err
 	}
 	defer h.Close()
+	base := h.liveSubscriptions()
 
 	admission := rate / float64(cfg.Clients) / 2
 	pt, err := h.Run(RunOptions{
@@ -180,9 +182,24 @@ func MeasureMechanisms(cfg Config, txPerClient int, rate float64) (Mechanisms, e
 		pm := h.net.Peer(org).Metrics()
 		m.DedupHits += pm[metrics.DedupHits]
 		m.DedupMisses += pm[metrics.DedupMisses]
-		m.LeakedSubscriptions += h.net.Peer(org).Deliver().SubscriberCount()
 	}
+	// Each open gateway holds one shared commit-status stream by
+	// design; a leak is a subscription that outlives its gateway.
+	for _, g := range h.local {
+		g.Close()
+	}
+	m.LeakedSubscriptions = h.liveSubscriptions() - base
 	return m, nil
+}
+
+// liveSubscriptions sums the live deliver subscriptions of every
+// commit peer.
+func (h *Harness) liveSubscriptions() int {
+	n := 0
+	for _, org := range h.net.Orgs() {
+		n += h.net.Peer(org).Deliver().SubscriberCount()
+	}
+	return n
 }
 
 // E2EResult is the BENCH_e2e.json artifact: the arrival-rate trajectory

@@ -150,21 +150,23 @@ func TestDeliverReplayFromCheckpointAfterRestart(t *testing.T) {
 	n := newTestNet(t)
 	dir := t.TempDir()
 
+	sec := core.OriginalFabric()
+	sec.StorageBackend, sec.StorageDir = "durable", dir
 	mkPeer := func() *peer.Peer {
 		id, err := n.CA("org2").Issue("peer8.org2", "peer")
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := peer.NewPersistent(peer.Config{
-			Identity:   id,
-			Channel:    n.Channel,
-			Gossip:     n.Gossip,
-			Security:   core.OriginalFabric(),
-			PersistDir: dir,
+		p, err := peer.New(peer.Config{
+			Identity: id,
+			Channel:  n.Channel,
+			Gossip:   n.Gossip,
+			Security: sec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { p.Close() })
 		if err := p.ApproveDefinition(n.Peer("org2").Definition("asset")); err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +213,9 @@ func TestDeliverReplayFromCheckpointAfterRestart(t *testing.T) {
 
 	// Restart over the same directory and resume from the checkpoint:
 	// block 2 arrives as a store replay, block 3 live.
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
 	restarted := mkPeer()
 	if err := restarted.Restore(); err != nil {
 		t.Fatal(err)

@@ -16,23 +16,25 @@ func TestPeerRestartFromDisk(t *testing.T) {
 	dir := t.TempDir()
 
 	// A durable org2 peer joins (via manual construction to control
-	// the persist dir), approving definitions and installing chaincode
+	// the storage dir), approving definitions and installing chaincode
 	// like the network's own org2 peer.
+	sec := core.OriginalFabric()
+	sec.StorageBackend, sec.StorageDir = "durable", dir
 	mkPeer := func() *peer.Peer {
 		id, err := n.CA("org2").Issue("peer7.org2", "peer")
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := peer.NewPersistent(peer.Config{
-			Identity:   id,
-			Channel:    n.Channel,
-			Gossip:     n.Gossip,
-			Security:   core.OriginalFabric(),
-			PersistDir: dir,
+		p, err := peer.New(peer.Config{
+			Identity: id,
+			Channel:  n.Channel,
+			Gossip:   n.Gossip,
+			Security: sec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { p.Close() })
 		if err := p.ApproveDefinition(n.Peer("org2").Definition("asset")); err != nil {
 			t.Fatal(err)
 		}
@@ -56,6 +58,9 @@ func TestPeerRestartFromDisk(t *testing.T) {
 	}
 
 	// "Restart": a brand-new peer object over the same directory.
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
 	restarted := mkPeer()
 	if err := restarted.Restore(); err != nil {
 		t.Fatal(err)

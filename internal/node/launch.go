@@ -58,9 +58,6 @@ type LaunchOptions struct {
 	Dir string
 	// TLS enables pinned-key TLS between every process.
 	TLS bool
-	// Codec selects the wire payload encoding every role (and every
-	// cluster dial) uses; empty selects the default (binary).
-	Codec wire.Codec
 	// Stderr, when non-nil, receives every child's stderr.
 	Stderr io.Writer
 	// SkipPeers names topology peers NOT spawned at launch. They keep a
@@ -81,7 +78,6 @@ type Cluster struct {
 	PeerAddrs   map[string]string
 	procs       []*proc
 	tls         bool
-	codec       wire.Codec
 
 	// Spawn context kept for JoinPeer.
 	self         string
@@ -126,7 +122,7 @@ func (cl *Cluster) DialOrderer() (*wire.OrdererClient, error) {
 func (cl *Cluster) PeerNames() []string { return sortedNames(cl.PeerAddrs) }
 
 func (cl *Cluster) dial(addr, serverName string) (*wire.Client, error) {
-	copts := wire.ClientOptions{Codec: cl.codec}
+	var copts wire.ClientOptions
 	if cl.tls {
 		id, err := cl.Material.Identity(cl.GatewayName)
 		if err != nil {
@@ -237,7 +233,6 @@ func LaunchCluster(cfg *netconfig.Config, opts LaunchOptions) (*Cluster, error) 
 		GatewayAddr:  gatewayAddr,
 		PeerAddrs:    peerAddrs,
 		tls:          tlsOn,
-		codec:        opts.Codec,
 		self:         self,
 		configPath:   configPath,
 		materialPath: materialPath,
@@ -284,9 +279,6 @@ func (cl *Cluster) spawn(role, name, listen string, peerAddrs map[string]string,
 	}
 	if cl.tls {
 		env[EnvTLS] = "1"
-	}
-	if cl.codec != "" {
-		env[EnvCodec] = string(cl.codec)
 	}
 	if snapshotFrom != "" {
 		env[EnvSnapshotFrom] = snapshotFrom

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/blockfile"
 	"repro/internal/chaincode"
 	"repro/internal/channel"
 	"repro/internal/core"
@@ -44,7 +43,6 @@ type Peer struct {
 	endorser   *endorser.Endorser
 	validator  *validator.Validator
 	reconciler *reconcile.Reconciler
-	persist    *blockfile.Store
 	delivery   *deliver.Service
 	metrics    metrics.Counters
 	timings    metrics.Timings
@@ -90,12 +88,6 @@ type Config struct {
 	Gossip *gossip.Network
 	// Security selects the active defense features.
 	Security core.SecurityConfig
-	// PersistDir, when set, makes the peer's blockchain durable: every
-	// committed block is appended to an on-disk block file, and a peer
-	// restarted over the same directory rebuilds its world state by
-	// replay (use NewPersistent). Superseded by the storage backends
-	// (Security.StorageBackend); kept for block-file-only deployments.
-	PersistDir string
 	// Backend, when non-nil, is used as the peer's storage backend
 	// directly instead of opening one from Security.StorageBackend —
 	// dependency injection for restart-shaped tests (hand a memory
@@ -108,7 +100,6 @@ type Config struct {
 // cfg.Backend or cfg.Security.StorageBackend selects a storage backend,
 // the peer's commits become durable; a backend with existing data needs
 // Restore called (after approving definitions) before the first commit.
-// For the legacy block-file-only persistence use NewPersistent.
 func New(cfg Config) (*Peer, error) {
 	db := statedb.New()
 	p := &Peer{
@@ -209,34 +200,9 @@ func New(cfg Config) (*Peer, error) {
 	return p, nil
 }
 
-// NewPersistent creates a durable peer over cfg.PersistDir: existing
-// blocks are replayed to rebuild the world state, and every future
-// commit is appended to the block file before CommitBlock returns.
-// This is the legacy block-file-only path; configuring a storage
-// backend as well is a configuration error.
-func NewPersistent(cfg Config) (*Peer, error) {
-	if cfg.PersistDir == "" {
-		return nil, fmt.Errorf("peer: NewPersistent requires PersistDir")
-	}
-	if cfg.Backend != nil || cfg.Security.StorageBackend != "" {
-		return nil, fmt.Errorf("peer: NewPersistent is exclusive with a storage backend; use Security.StorageBackend alone")
-	}
-	p, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	store, err := blockfile.Open(cfg.PersistDir)
-	if err != nil {
-		return nil, fmt.Errorf("peer %s: %w", p.Name(), err)
-	}
-	p.persist = store
-	return p, nil
-}
-
-// Restore rebuilds the peer's in-memory state from its storage backend
-// (or, on legacy peers, from the block file). Chaincode definitions
-// must be approved before calling Restore (replay resolves collection
-// configs through them).
+// Restore rebuilds the peer's in-memory state from its storage backend.
+// Chaincode definitions must be approved before calling Restore (replay
+// resolves collection configs through them).
 //
 // Backend recovery (docs/STORAGE.md §7): blocks [0, W) — where W is the
 // state log's watermark — are installed directly (chain only; their
@@ -245,25 +211,9 @@ func NewPersistent(cfg Config) (*Peer, error) {
 // mutations. Because blocks become durable before their state batch,
 // W <= H always holds on an uncorrupted store.
 func (p *Peer) Restore() error {
-	if p.backend != nil {
-		return p.restoreBackend()
-	}
-	if p.persist == nil {
+	if p.backend == nil {
 		return fmt.Errorf("peer %s: not persistent", p.Name())
 	}
-	blocks, err := p.persist.ReadAll()
-	if err != nil {
-		return fmt.Errorf("peer %s: restore: %w", p.Name(), err)
-	}
-	for _, b := range blocks {
-		if err := p.validator.ReplayBlock(b); err != nil {
-			return fmt.Errorf("peer %s: restore: %w", p.Name(), err)
-		}
-	}
-	return nil
-}
-
-func (p *Peer) restoreBackend() error {
 	fail := func(err error) error { return fmt.Errorf("peer %s: restore: %w", p.Name(), err) }
 	blocks, err := p.backend.Blocks().ReadAll()
 	if err != nil {
@@ -379,21 +329,13 @@ func (p *Peer) flushState(h uint64) error {
 // without persistence).
 func (p *Peer) Backend() storage.Backend { return p.backend }
 
-// Close releases the peer's storage resources: the backend (stopping
-// background compaction) and the legacy block file, when present.
+// Close releases the peer's storage backend (stopping background
+// compaction), when present.
 func (p *Peer) Close() error {
-	var first error
-	if p.backend != nil {
-		if err := p.backend.Close(); err != nil {
-			first = err
-		}
+	if p.backend == nil {
+		return nil
 	}
-	if p.persist != nil {
-		if err := p.persist.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return p.backend.Close()
 }
 
 // Name returns the peer's node name, e.g. "peer0.org1".
@@ -509,13 +451,6 @@ func (p *Peer) CommitBlock(block *ledger.Block) error {
 		return err
 	}
 	p.transient.EvictExpired(p.blocks.Height())
-	if p.persist != nil {
-		// The block (with this peer's validation flags) becomes
-		// durable; on restart Restore trusts these flags.
-		if err := p.persist.Append(block); err != nil {
-			return fmt.Errorf("peer %s: persist: %w", p.Name(), err)
-		}
-	}
 	if p.backend != nil {
 		// Durability ordering (docs/STORAGE.md §7): the block first, its
 		// state batch second. A crash between the two leaves the state

@@ -149,9 +149,6 @@ func (p *Peer) InstallSnapshot(dir string) error {
 	fail := func(err error) error {
 		return fmt.Errorf("peer %s: install snapshot: %w", p.Name(), err)
 	}
-	if p.persist != nil {
-		return fail(fmt.Errorf("legacy block-file peers do not support snapshot install"))
-	}
 	if h, b := p.blocks.Height(), p.blocks.Base(); h != 0 || b != 0 {
 		return fail(fmt.Errorf("peer is not empty (height %d, base %d)", h, b))
 	}

@@ -12,18 +12,10 @@ import (
 	"repro/internal/deliver"
 )
 
-// codecCases runs a subtest per payload codec, so every batching and
-// ownership property is pinned for both encodings.
-func codecCases(t *testing.T, fn func(t *testing.T, codec Codec)) {
-	for _, c := range []Codec{CodecBinary, CodecJSON} {
-		t.Run(string(c), func(t *testing.T) { fn(t, c) })
-	}
-}
-
 // TestBatchedStreamDeliversInOrder: events sent through SendBatch (in
-// full and partial batches) arrive in order and intact, on both codecs.
+// full and partial batches) arrive in order and intact.
 func TestBatchedStreamDeliversInOrder(t *testing.T) {
-	codecCases(t, func(t *testing.T, codec Codec) {
+	t.Run("binary", func(t *testing.T) {
 		const events = 101 // 3 full batches of 32 + a remainder of 5
 		s := startServer(t, ServerOptions{}, map[string]Handler{
 			"count": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
@@ -45,7 +37,7 @@ func TestBatchedStreamDeliversInOrder(t *testing.T) {
 				return nil, sink.SendBatch(batch)
 			},
 		})
-		c := dialT(t, s, ClientOptions{Codec: codec})
+		c := dialT(t, s, ClientOptions{})
 		stream, err := c.Stream(context.Background(), "count", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +68,7 @@ func TestBatchedStreamDeliversInOrder(t *testing.T) {
 // ErrSlowConsumer, and the eviction's ftCancel must reach the server
 // handler as a context cancellation.
 func TestSlowConsumerEvictedUnderBatches(t *testing.T) {
-	codecCases(t, func(t *testing.T, codec Codec) {
+	t.Run("binary", func(t *testing.T) {
 		canceled := make(chan struct{})
 		s := startServer(t, ServerOptions{}, map[string]Handler{
 			"flood": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
@@ -100,7 +92,7 @@ func TestSlowConsumerEvictedUnderBatches(t *testing.T) {
 				}
 			},
 		})
-		c := dialT(t, s, ClientOptions{Codec: codec})
+		c := dialT(t, s, ClientOptions{})
 		stream, err := c.Stream(context.Background(), "flood", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -143,8 +135,11 @@ func TestSlowConsumerEvictedUnderBatches(t *testing.T) {
 // stops a stream that is emitting multi-event frames, and the abandoned
 // batch frames already in flight are dropped cleanly.
 func TestCancelStopsBatchedStream(t *testing.T) {
-	codecCases(t, func(t *testing.T, codec Codec) {
+	t.Run("binary", func(t *testing.T) {
+		// The second stream opened below is canceled at teardown too, so
+		// only the first cancellation closes the channel.
 		canceled := make(chan struct{})
+		var cancelOnce sync.Once
 		s := startServer(t, ServerOptions{}, map[string]Handler{
 			"flood": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
 				if err := sink.Ack(); err != nil {
@@ -154,7 +149,7 @@ func TestCancelStopsBatchedStream(t *testing.T) {
 				batch := make([]event, 8)
 				for {
 					if ctx.Err() != nil {
-						close(canceled)
+						cancelOnce.Do(func() { close(canceled) })
 						return nil, ctx.Err()
 					}
 					for i := range batch {
@@ -171,7 +166,7 @@ func TestCancelStopsBatchedStream(t *testing.T) {
 				}
 			},
 		})
-		c := dialT(t, s, ClientOptions{Codec: codec})
+		c := dialT(t, s, ClientOptions{})
 		stream, err := c.Stream(context.Background(), "flood", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -244,61 +239,59 @@ func TestPooledBufferOwnershipStress(t *testing.T) {
 			return nil, ctx.Err()
 		},
 	})
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		c := dialT(t, s, ClientOptions{Codec: codec})
-		ctx, cancel := context.WithCancel(context.Background())
-		stream, err := c.Stream(ctx, "ticker", nil)
-		if err != nil {
-			t.Fatal(err)
+	c := dialT(t, s, ClientOptions{})
+	ctx, cancel := context.WithCancel(context.Background())
+	stream, err := c.Stream(ctx, "ticker", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drained sync.WaitGroup
+	drained.Add(1)
+	go func() {
+		defer drained.Done()
+		last := int64(-1)
+		for ev := range stream.Events() {
+			se := ev.(*deliver.TxStatusEvent)
+			if int64(se.BlockNum) <= last {
+				t.Errorf("stream went backwards: %d after %d", se.BlockNum, last)
+				return
+			}
+			last = int64(se.BlockNum)
 		}
-		var drained sync.WaitGroup
-		drained.Add(1)
-		go func() {
-			defer drained.Done()
-			last := int64(-1)
-			for ev := range stream.Events() {
-				se := ev.(*deliver.TxStatusEvent)
-				if int64(se.BlockNum) <= last {
-					t.Errorf("stream went backwards: %d after %d", se.BlockNum, last)
+	}()
+
+	const workers = 16
+	const callsPerWorker = 60
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < callsPerWorker; i++ {
+				// Sizes straddle the pool's size classes, including
+				// zero-length and just-past-a-class boundaries.
+				size := (w*callsPerWorker + i) * 131 % (72 << 10)
+				payload := bytes.Repeat([]byte{byte(w), byte(i)}, size/2)
+				var out evaluateResponse
+				if err := c.Call(context.Background(), "echo", &orderRequest{Tx: payload}, &out); err != nil {
+					errs <- fmt.Errorf("worker %d call %d: %w", w, i, err)
 					return
 				}
-				last = int64(se.BlockNum)
-			}
-		}()
-
-		const workers = 16
-		const callsPerWorker = 60
-		var wg sync.WaitGroup
-		errs := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < callsPerWorker; i++ {
-					// Sizes straddle the pool's size classes, including
-					// zero-length and just-past-a-class boundaries.
-					size := (w*callsPerWorker + i) * 131 % (72 << 10)
-					payload := bytes.Repeat([]byte{byte(w), byte(i)}, size/2)
-					var out evaluateResponse
-					if err := c.Call(context.Background(), "echo", &orderRequest{Tx: payload}, &out); err != nil {
-						errs <- fmt.Errorf("worker %d call %d: %w", w, i, err)
-						return
-					}
-					if !bytes.Equal(out.Payload, payload) {
-						errs <- fmt.Errorf("worker %d call %d: echo corrupted (%d bytes in, %d out)", w, i, len(payload), len(out.Payload))
-						return
-					}
+				if !bytes.Equal(out.Payload, payload) {
+					errs <- fmt.Errorf("worker %d call %d: echo corrupted (%d bytes in, %d out)", w, i, len(payload), len(out.Payload))
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		cancel()
-		stream.Close()
-		drained.Wait()
-		c.Close()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
+			}
+		}(w)
+	}
+	wg.Wait()
+	cancel()
+	stream.Close()
+	drained.Wait()
+	c.Close()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"crypto/tls"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -28,18 +27,12 @@ type ClientOptions struct {
 	MaxFrame int
 	// DialTimeout bounds the TCP (and TLS) dial; 0 means 10s.
 	DialTimeout time.Duration
-	// Codec selects the preferred payload encoding; empty selects
-	// CodecBinary. The client drives negotiation: servers always answer
-	// in the codec a frame arrived with, so CodecJSON turns the whole
-	// conversation back into the PR 8 debug format.
-	Codec Codec
 }
 
 // Client is one multiplexed wire connection: any number of concurrent
 // unary calls and event streams share it, demultiplexed by stream ID.
 type Client struct {
-	cn    *conn
-	codec codecID
+	cn *conn
 
 	mu      sync.Mutex
 	next    uint64
@@ -56,11 +49,10 @@ type pendingCall struct {
 }
 
 // respMsg hands a response from the read loop to its waiter together
-// with the frame codec and the pooled payload buffer the response body
-// aliases; the waiter releases the buffer after decoding.
+// with the pooled payload buffer the response body aliases; the waiter
+// releases the buffer after decoding.
 type respMsg struct {
 	resp    *response
-	codec   codecID
 	payload []byte
 }
 
@@ -85,11 +77,8 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	codec, err := ParseCodec(string(opts.Codec))
-	if err != nil {
-		return nil, err
-	}
 	var nc net.Conn
+	var err error
 	if opts.Identity != nil && len(opts.ServerKey) > 0 {
 		cert, cerr := opts.Identity.TLSCertificate()
 		if cerr != nil {
@@ -112,7 +101,6 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	}
 	c := &Client{
 		cn:      newConn(nc, maxFrame),
-		codec:   codec.id(),
 		calls:   make(map[uint64]*pendingCall),
 		streams: make(map[uint64]*eventStream),
 		rpc:     make(map[string]*RPCStat),
@@ -174,13 +162,13 @@ func (c *Client) readLoop() {
 		switch f.Type {
 		case ftResponse:
 			var resp response
-			if err := unmarshalEnvelope(f.Codec, f.Payload, &resp); err != nil {
+			if err := unmarshalBody(f.Payload, &resp); err != nil {
 				putBuf(f.Payload)
 				c.cn.close(fmt.Errorf("%w: response body: %v", ErrCorrupt, err))
 				c.fail(c.cn.closeErr())
 				return
 			}
-			c.dispatchResponse(f.Stream, &resp, f.Codec, f.Payload)
+			c.dispatchResponse(f.Stream, &resp, f.Payload)
 		case ftEvent, ftEvents:
 			if !c.dispatchEventFrame(f) {
 				c.fail(c.cn.closeErr())
@@ -197,13 +185,13 @@ func (c *Client) readLoop() {
 	}
 }
 
-func (c *Client) dispatchResponse(stream uint64, resp *response, codec codecID, payload []byte) {
+func (c *Client) dispatchResponse(stream uint64, resp *response, payload []byte) {
 	c.mu.Lock()
 	if pc, ok := c.calls[stream]; ok {
 		delete(c.calls, stream)
 		c.noteInLocked(pc.method, len(payload))
 		c.mu.Unlock()
-		pc.ch <- respMsg{resp: resp, codec: codec, payload: payload}
+		pc.ch <- respMsg{resp: resp, payload: payload}
 		return
 	}
 	es := c.streams[stream]
@@ -251,7 +239,7 @@ func (c *Client) dispatchEventFrame(f frame) bool {
 		delete(c.streams, f.Stream)
 		c.mu.Unlock()
 		es.finish(deliver.ErrSlowConsumer)
-		c.cn.send(frame{Type: ftCancel, Codec: c.codec, Stream: f.Stream})
+		c.cn.send(frame{Type: ftCancel, Stream: f.Stream})
 		break
 	}
 	return true
@@ -263,44 +251,32 @@ func (c *Client) dispatchEventFrame(f frame) bool {
 func decodeEventFrame(f frame) ([]deliver.Event, error) {
 	if f.Type == ftEvent {
 		var ev event
-		if err := unmarshalEnvelope(f.Codec, f.Payload, &ev); err != nil {
+		if err := unmarshalBody(f.Payload, &ev); err != nil {
 			return nil, err
 		}
 		return []deliver.Event{ev.decode()}, nil
 	}
-	if f.Codec == codecBinary {
-		r := &binReader{b: f.Payload}
-		n := r.uvarint()
-		if r.err != nil || n > uint64(r.remaining()) {
-			r.fail("event batch count")
+	r := &binReader{b: f.Payload}
+	n := r.uvarint()
+	if r.err != nil || n > uint64(r.remaining()) {
+		r.fail("event batch count")
+		return nil, r.err
+	}
+	out := make([]deliver.Event, 0, n)
+	for i := uint64(0); i < n; i++ {
+		size := r.uvarint()
+		if r.err != nil || size > uint64(r.remaining()) {
+			r.fail("event batch item")
 			return nil, r.err
 		}
-		out := make([]deliver.Event, 0, n)
-		for i := uint64(0); i < n; i++ {
-			size := r.uvarint()
-			if r.err != nil || size > uint64(r.remaining()) {
-				r.fail("event batch item")
-				return nil, r.err
-			}
-			item := r.take(int(size))
-			var ev event
-			if err := unmarshalBody(codecBinary, item, &ev); err != nil {
-				return nil, err
-			}
-			out = append(out, ev.decode())
-		}
-		if err := r.done(); err != nil {
+		var ev event
+		if err := unmarshalBody(r.take(int(size)), &ev); err != nil {
 			return nil, err
 		}
-		return out, nil
+		out = append(out, ev.decode())
 	}
-	var evs []event
-	if err := json.Unmarshal(f.Payload, &evs); err != nil {
+	if err := r.done(); err != nil {
 		return nil, err
-	}
-	out := make([]deliver.Event, 0, len(evs))
-	for i := range evs {
-		out = append(out, evs[i].decode())
 	}
 	return out, nil
 }
@@ -317,10 +293,7 @@ func (c *Client) fail(err error) {
 	c.calls, c.streams = map[uint64]*pendingCall{}, map[uint64]*eventStream{}
 	c.mu.Unlock()
 	for _, pc := range calls {
-		pc.ch <- respMsg{
-			resp:  &response{Err: &WireError{Code: codeInternal, Message: err.Error()}},
-			codec: codecJSON,
-		}
+		pc.ch <- respMsg{resp: &response{Err: &WireError{Code: codeInternal, Message: err.Error()}}}
 	}
 	for _, es := range streams {
 		es.finish(err)
@@ -328,29 +301,29 @@ func (c *Client) fail(err error) {
 }
 
 // newRequest marshals a request frame for method with the given body,
-// returning the pooled payload and the codec the frame must carry.
-func (c *Client) newRequest(ctx context.Context, method string, body any) ([]byte, codecID, error) {
-	b, bc, err := marshalBody(c.codec, body)
+// returning the pooled payload.
+func (c *Client) newRequest(ctx context.Context, method string, body any) ([]byte, error) {
+	b, err := marshalBody(body)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wire: marshal %s request: %w", method, err)
+		return nil, fmt.Errorf("wire: marshal %s request: %w", method, err)
 	}
 	req := request{Method: method, Body: b}
 	if dl, ok := ctx.Deadline(); ok {
 		req.Deadline = dl.UnixNano()
 	}
-	payload, err := marshalEnvelope(bc, &req)
+	payload, err := marshalBody(&req)
 	putBuf(b)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wire: marshal %s request: %w", method, err)
+		return nil, fmt.Errorf("wire: marshal %s request: %w", method, err)
 	}
-	return payload, bc, nil
+	return payload, nil
 }
 
 // Call performs one unary RPC: request out, single response in. The
 // context's deadline travels with the request; cancellation sends an
 // ftCancel so the server abandons the handler.
 func (c *Client) Call(ctx context.Context, method string, in, out any) error {
-	payload, codec, err := c.newRequest(ctx, method, in)
+	payload, err := c.newRequest(ctx, method, in)
 	if err != nil {
 		return err
 	}
@@ -366,7 +339,7 @@ func (c *Client) Call(ctx context.Context, method string, in, out any) error {
 	c.calls[id] = &pendingCall{ch: ch, method: method}
 	c.mu.Unlock()
 
-	err = c.cn.send(frame{Type: ftRequest, Codec: codec, Stream: id, Payload: payload})
+	err = c.cn.send(frame{Type: ftRequest, Stream: id, Payload: payload})
 	c.noteOut(method, len(payload))
 	putBuf(payload)
 	if err != nil {
@@ -384,7 +357,7 @@ func (c *Client) Call(ctx context.Context, method string, in, out any) error {
 		delete(c.calls, id)
 		c.mu.Unlock()
 		if inflight {
-			c.cn.send(frame{Type: ftCancel, Codec: codec, Stream: id})
+			c.cn.send(frame{Type: ftCancel, Stream: id})
 			return ctx.Err()
 		}
 		// Response raced the cancellation; take it.
@@ -395,7 +368,7 @@ func (c *Client) Call(ctx context.Context, method string, in, out any) error {
 		return decodeError(msg.resp.Err)
 	}
 	if out != nil && len(msg.resp.Body) > 0 {
-		if err := unmarshalBody(msg.codec, msg.resp.Body, out); err != nil {
+		if err := unmarshalBody(msg.resp.Body, out); err != nil {
 			return fmt.Errorf("wire: unmarshal %s response: %w", method, err)
 		}
 	}
@@ -407,7 +380,7 @@ func (c *Client) Call(ctx context.Context, method string, in, out any) error {
 // after Stream returns is observed by the stream — the registration-
 // before-ordering guarantee commit waiters depend on.
 func (c *Client) Stream(ctx context.Context, method string, in any) (service.Stream, error) {
-	payload, codec, err := c.newRequest(ctx, method, in)
+	payload, err := c.newRequest(ctx, method, in)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +408,7 @@ func (c *Client) Stream(ctx context.Context, method string, in any) (service.Str
 		delete(c.streams, id)
 		c.mu.Unlock()
 	}
-	err = c.cn.send(frame{Type: ftRequest, Codec: codec, Stream: id, Payload: payload})
+	err = c.cn.send(frame{Type: ftRequest, Stream: id, Payload: payload})
 	c.noteOut(method, len(payload))
 	putBuf(payload)
 	if err != nil {
@@ -451,7 +424,7 @@ func (c *Client) Stream(ctx context.Context, method string, in any) (service.Str
 		c.mu.Unlock()
 		if inflight {
 			deregister()
-			c.cn.send(frame{Type: ftCancel, Codec: codec, Stream: id})
+			c.cn.send(frame{Type: ftCancel, Stream: id})
 			return nil, ctx.Err()
 		}
 		msg = <-ack
@@ -553,6 +526,6 @@ func (es *eventStream) Close() {
 	es.c.mu.Lock()
 	delete(es.c.streams, es.id)
 	es.c.mu.Unlock()
-	es.c.cn.send(frame{Type: ftCancel, Codec: es.c.codec, Stream: es.id})
+	es.c.cn.send(frame{Type: ftCancel, Stream: es.id})
 	es.finish(nil)
 }

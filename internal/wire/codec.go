@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,57 +9,10 @@ import (
 	"time"
 )
 
-// Codec selection. The frame header's version byte doubles as the
-// payload codec identifier, which is the whole negotiation protocol:
-// every frame declares how its payload is encoded, a receiver decodes
-// by that byte, and a responder mirrors the codec of the frame it is
-// answering. Version 1 is the original JSON encoding and remains fully
-// supported — it is the fallback for any body type the binary codec
-// does not know, and the debug/fuzz format. Version 2 is the
-// hand-rolled length-delimited binary codec for the hot payload types
-// (transactions, blocks, rwsets, endorse/submit/status bodies).
-type codecID byte
-
-const (
-	codecJSON   codecID = verJSON
-	codecBinary codecID = verBinary
-)
-
-// Codec names a payload encoding in configuration (ClientOptions,
-// node options, PDC_WIRE_CODEC).
-type Codec string
-
-const (
-	// CodecBinary selects the length-delimited binary codec (the
-	// default): hot payload types encode positionally, everything else
-	// falls back to JSON per frame.
-	CodecBinary Codec = "binary"
-	// CodecJSON forces every frame to the JSON encoding — the debug
-	// format, and the wire format of PR 8 clients.
-	CodecJSON Codec = "json"
-)
-
-// ParseCodec maps a configuration string onto a Codec; empty selects
-// the default (binary).
-func ParseCodec(s string) (Codec, error) {
-	switch Codec(s) {
-	case "", CodecBinary:
-		return CodecBinary, nil
-	case CodecJSON:
-		return CodecJSON, nil
-	}
-	return "", fmt.Errorf("wire: unknown codec %q (want %q or %q)", s, CodecBinary, CodecJSON)
-}
-
-func (c Codec) id() codecID {
-	if c == CodecJSON {
-		return codecJSON
-	}
-	return codecBinary
-}
-
-// errBinaryCodec is the typed root of binary decode failures; framing
-// treats it like a JSON parse error (the connection is poisoned).
+// errBinaryCodec is the typed root of payload codec failures: a
+// truncated or malformed encoding (framing treats it as corruption and
+// poisons the connection), or a type missing from the catalogue in
+// codec_types.go.
 var errBinaryCodec = errors.New("wire: binary codec")
 
 // ---------------------------------------------------------------------
@@ -117,62 +69,32 @@ func putBuf(b []byte) {
 // ---------------------------------------------------------------------
 // Payload marshaling.
 
-// marshalBody encodes an RPC body with the preferred codec. A type the
-// binary codec has no encoding for falls back to JSON — the returned
-// codec says which encoding won, and the caller must tag the whole
-// frame with it (envelope and body always share one codec). The buffer
-// may be pooled; release it with putBuf when done.
-func marshalBody(prefer codecID, v any) ([]byte, codecID, error) {
+// marshalBody encodes an RPC body or frame envelope with the binary
+// codec. A nil v encodes as an absent body; a type missing from the
+// catalogue is an error wrapping errBinaryCodec. The buffer may be
+// pooled; release it with putBuf when done.
+func marshalBody(v any) ([]byte, error) {
 	if v == nil {
-		return nil, prefer, nil
+		return nil, nil
 	}
 	start := time.Now()
-	if prefer == codecBinary {
-		if data, ok := binMarshal(v); ok {
-			observeEncode(start)
-			return data, codecBinary, nil
-		}
-		stats.jsonFallbacks.Add(1)
+	data, ok := binMarshal(v)
+	if !ok {
+		return nil, fmt.Errorf("%w: no binary encoding for %T", errBinaryCodec, v)
 	}
-	data, err := json.Marshal(v)
 	observeEncode(start)
-	if err != nil {
-		return nil, codecJSON, err
-	}
-	return data, codecJSON, nil
+	return data, nil
 }
 
-// marshalEnvelope encodes a frame envelope (request/response/event)
-// with the given codec. Envelopes are always binary-encodable, so no
-// fallback happens here — the codec was already fixed by marshalBody.
-func marshalEnvelope(c codecID, v any) ([]byte, error) {
+// unmarshalBody decodes an RPC body or frame envelope.
+func unmarshalBody(data []byte, v any) error {
 	start := time.Now()
-	defer func() { observeEncode(start) }()
-	if c == codecBinary {
-		if data, ok := binMarshal(v); ok {
-			return data, nil
-		}
-	}
-	return json.Marshal(v)
-}
-
-// unmarshalBody decodes an RPC body by the frame's codec.
-func unmarshalBody(c codecID, data []byte, v any) error {
-	start := time.Now()
-	defer func() { observeDecode(start) }()
-	if c == codecBinary {
-		ok, err := binUnmarshal(data, v)
-		if ok {
-			return err
-		}
+	defer observeDecode(start)
+	ok, err := binUnmarshal(data, v)
+	if !ok {
 		return fmt.Errorf("%w: no binary decoding for %T", errBinaryCodec, v)
 	}
-	return json.Unmarshal(data, v)
-}
-
-// unmarshalEnvelope decodes a frame envelope by the frame's codec.
-func unmarshalEnvelope(c codecID, data []byte, v any) error {
-	return unmarshalBody(c, data, v)
+	return err
 }
 
 // ---------------------------------------------------------------------
@@ -182,9 +104,9 @@ func unmarshalEnvelope(c codecID, data []byte, v any) error {
 // fixed order with no field names or tags. Integers are varints
 // (unsigned LEB128; signed values zigzag). Strings are length-prefixed.
 // Byte slices and collections use a nil-aware length: 0 encodes nil,
-// n+1 encodes n elements — mirroring JSON's null-vs-[] distinction so
-// both codecs round-trip the same struct to the same struct. Pointers
-// carry a one-byte presence marker.
+// n+1 encodes n elements — the same null-vs-[] distinction
+// encoding/json draws, so a struct round-trips to exactly the struct
+// its JSON form would. Pointers carry a one-byte presence marker.
 
 func appendUvarint(b []byte, x uint64) []byte { return binary.AppendUvarint(b, x) }
 
@@ -228,7 +150,7 @@ func appendStrings(b []byte, ss []string) []byte {
 }
 
 // appendByteMap writes a map[string][]byte with keys in sorted order,
-// matching JSON's deterministic map-key ordering.
+// so equal maps always encode to equal bytes.
 func appendByteMap(b []byte, m map[string][]byte) []byte {
 	b = appendCount(b, len(m), m == nil)
 	if len(m) == 0 {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -120,34 +121,19 @@ func TestBinaryCodecTruncationSafe(t *testing.T) {
 	}
 }
 
-// TestMarshalBodyFallsBackToJSON: a type the binary codec doesn't know
-// (tests, future additions) silently degrades the frame to JSON and is
-// counted, rather than failing the call.
-func TestMarshalBodyFallsBackToJSON(t *testing.T) {
+// TestMarshalBodyRejectsUncataloguedType: a type missing from the
+// binary codec's catalogue fails with a typed error in both directions,
+// rather than travelling in some other encoding or misparsing.
+func TestMarshalBodyRejectsUncataloguedType(t *testing.T) {
 	type unknown struct {
 		A int `json:"a"`
 	}
-	before := stats.jsonFallbacks.Load()
-	data, c, err := marshalBody(codecBinary, &unknown{A: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != codecJSON {
-		t.Fatalf("codec = %d, want JSON fallback", c)
-	}
-	if !bytes.Equal(data, []byte(`{"a":7}`)) {
-		t.Fatalf("fallback body = %q", data)
-	}
-	if got := stats.jsonFallbacks.Load(); got != before+1 {
-		t.Fatalf("jsonFallbacks = %d, want %d", got, before+1)
+	if data, err := marshalBody(&unknown{A: 7}); !errors.Is(err, errBinaryCodec) {
+		t.Fatalf("marshal: got (%q, %v), want errBinaryCodec", data, err)
 	}
 	var out unknown
-	if err := unmarshalBody(c, data, &out); err != nil || out.A != 7 {
-		t.Fatalf("fallback round-trip: %+v, %v", out, err)
-	}
-	// The binary decoder must refuse the type rather than misparse it.
-	if err := unmarshalBody(codecBinary, data, &out); err == nil {
-		t.Fatal("binary unmarshal of unknown type succeeded")
+	if err := unmarshalBody([]byte(`{"a":7}`), &out); !errors.Is(err, errBinaryCodec) {
+		t.Fatalf("unmarshal: got %v (%+v), want errBinaryCodec", err, out)
 	}
 }
 
@@ -265,30 +251,4 @@ func newZero(v any) any {
 		return &ledger.ProposalResponse{}
 	}
 	panic("newZero: unknown type")
-}
-
-// TestParseCodec pins the exported codec selection surface.
-func TestParseCodec(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Codec
-		ok   bool
-	}{
-		{"", CodecBinary, true},
-		{"binary", CodecBinary, true},
-		{"json", CodecJSON, true},
-		{"protobuf", "", false},
-	}
-	for _, c := range cases {
-		got, err := ParseCodec(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Fatalf("ParseCodec(%q) = %q, %v", c.in, got, err)
-		}
-		if !c.ok && err == nil {
-			t.Fatalf("ParseCodec(%q) accepted", c.in)
-		}
-	}
-	if CodecBinary.id() != codecBinary || CodecJSON.id() != codecJSON {
-		t.Fatal("codec ids must map onto the wire version bytes")
-	}
 }

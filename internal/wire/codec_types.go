@@ -12,10 +12,9 @@ import (
 
 // This file is the binary codec's type catalogue: positional
 // encoders/decoders for the frame envelopes and every hot RPC body.
-// Field order is the format — docs/WIRE.md documents each layout. A
-// type absent from binMarshal's switch transparently travels as JSON
-// (see marshalBody), so adding a type here is an optimization, never a
-// compatibility requirement.
+// Field order is the format — docs/WIRE.md documents each layout. The
+// catalogue is total over the protocol: every body an RPC sends must
+// have a case here, or marshalBody fails with errBinaryCodec.
 
 // binMarshal encodes v into a pooled buffer. ok reports whether the
 // binary codec knows v's type.
@@ -74,7 +73,7 @@ func binMarshal(v any) (data []byte, ok bool) {
 // binUnmarshal decodes data into v. ok reports whether the binary codec
 // knows v's type; when ok, err is the decode outcome. Decoding into a
 // value target from a nil (presence-0) encoding leaves the target's
-// zero value, mirroring json.Unmarshal of "null".
+// zero value, as encoding/json does for "null".
 func binUnmarshal(data []byte, v any) (ok bool, err error) {
 	r := &binReader{b: data}
 	switch t := v.(type) {

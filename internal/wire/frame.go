@@ -2,17 +2,16 @@
 // length-prefixed, CRC-protected framing layer carrying the RPCs of the
 // internal/service interfaces between OS processes. One connection
 // multiplexes any number of concurrent calls and event streams,
-// distinguished by a client-chosen stream ID; payloads are either JSON
-// (version byte 1) or the hand-rolled binary codec (version byte 2)
-// serializations of the same ledger/service structs the in-process
-// implementations pass by pointer — see codec.go for the negotiation
-// contract.
+// distinguished by a client-chosen stream ID; payloads are the
+// hand-rolled binary codec's serializations (codec.go, codec_types.go)
+// of the same ledger/service structs the in-process implementations
+// pass by pointer.
 //
 // Frame layout (all integers big-endian):
 //
 //	offset size  field
 //	0      2     magic 0xFA 0xB1
-//	2      1     payload codec (1 = JSON, 2 = binary)
+//	2      1     protocol version (always 2)
 //	3      1     frame type (request/response/event/cancel/event-batch)
 //	4      8     stream ID
 //	12     4     payload length
@@ -37,13 +36,9 @@ const (
 	magic0 = 0xFA
 	magic1 = 0xB1
 
-	// verJSON and verBinary are the accepted protocol versions. The
-	// version byte names the payload codec — that is the entire codec
-	// negotiation: each frame declares its own encoding, responders
-	// mirror the codec of the frame they answer, and JSON stays valid
-	// forever as the fallback and debug format.
-	verJSON   = 1
-	verBinary = 2
+	// version is the only accepted protocol version: binary payloads.
+	// Version 1 (JSON payloads) is retired and reads as ErrCorrupt.
+	version = 2
 
 	headerSize  = 16
 	trailerSize = 4
@@ -76,12 +71,9 @@ var (
 // accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frame is one protocol frame. Payload is the raw encoded body; Codec
-// says how it is encoded (the wire's version byte). A zero Codec means
-// JSON, so hand-built frames in tests keep their PR 8 meaning.
+// frame is one protocol frame. Payload is the raw encoded body.
 type frame struct {
 	Type    byte
-	Codec   codecID
 	Stream  uint64
 	Payload []byte
 }
@@ -93,12 +85,8 @@ func appendFrame(buf []byte, f frame) []byte {
 	if cap(buf) < n {
 		buf = make([]byte, 0, n)
 	}
-	ver := byte(f.Codec)
-	if ver == 0 {
-		ver = verJSON
-	}
 	buf = buf[:headerSize]
-	buf[0], buf[1], buf[2], buf[3] = magic0, magic1, ver, f.Type
+	buf[0], buf[1], buf[2], buf[3] = magic0, magic1, version, f.Type
 	binary.BigEndian.PutUint64(buf[4:], f.Stream)
 	binary.BigEndian.PutUint32(buf[12:], uint32(len(f.Payload)))
 	buf = append(buf, f.Payload...)
@@ -128,7 +116,7 @@ func readFrame(r io.Reader, maxFrame int) (frame, error) {
 	if hdr[0] != magic0 || hdr[1] != magic1 {
 		return frame{}, fmt.Errorf("%w: bad magic %02x%02x", ErrCorrupt, hdr[0], hdr[1])
 	}
-	if hdr[2] != verJSON && hdr[2] != verBinary {
+	if hdr[2] != version {
 		return frame{}, fmt.Errorf("%w: unknown version %d", ErrCorrupt, hdr[2])
 	}
 	ft := hdr[3]
@@ -158,5 +146,5 @@ func readFrame(r io.Reader, maxFrame int) (frame, error) {
 		putBuf(payload)
 		return frame{}, fmt.Errorf("%w: checksum %08x, computed %08x", ErrCorrupt, got, sum)
 	}
-	return frame{Type: ft, Codec: codecID(hdr[2]), Stream: binary.BigEndian.Uint64(hdr[4:]), Payload: payload}, nil
+	return frame{Type: ft, Stream: binary.BigEndian.Uint64(hdr[4:]), Payload: payload}, nil
 }

@@ -19,12 +19,12 @@ import (
 
 // rpcSeedPayloads serializes one instance of every RPC body in the
 // catalogue, so the fuzzer starts from realistic protocol traffic
-// rather than random JSON.
+// rather than random bytes.
 func rpcSeedPayloads(t interface{ Fatal(...any) }) [][]byte {
 	marshal := func(v any) []byte {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+		b, ok := binMarshal(v)
+		if !ok {
+			t.Fatal("seed type has no binary codec")
 		}
 		return b
 	}
@@ -70,10 +70,9 @@ func FuzzWireFrame(f *testing.F) {
 		flipped[i%len(flipped)] ^= 0x40
 		f.Add(flipped)
 	}
-	// Binary-codec frames: the same traffic the default codec produces,
-	// plus a hand-built multi-event batch, so the fuzzer explores the
-	// verBinary header path and the ftEvents frame type from generation
-	// zero.
+	// Bare bodies outside any envelope, plus a hand-built multi-event
+	// batch, so the fuzzer explores the ftEvents frame type from
+	// generation zero.
 	for i, body := range []any{
 		&pvtRequest{TxID: "tx1", Collection: "pdc1"},
 		&infoResponse{Name: "peer0.org1", Org: "org1", Channel: "c1", Height: 4, StateHash: "aa"},
@@ -84,19 +83,19 @@ func FuzzWireFrame(f *testing.F) {
 		if !ok {
 			f.Fatal("binary seed type has no binary codec")
 		}
-		f.Add(appendFrame(nil, frame{Type: types[i%len(types)], Codec: codecBinary, Stream: uint64(i), Payload: bin}))
+		f.Add(appendFrame(nil, frame{Type: types[i%len(types)], Stream: uint64(i), Payload: bin}))
 	}
-	if batch, err := marshalEnvelope(codecBinary, &event{Block: &deliver.BlockEvent{Number: 9}}); err == nil {
+	if batch, err := marshalBody(&event{Block: &deliver.BlockEvent{Number: 9}}); err == nil {
 		payload := appendUvarint(nil, 2)
 		for i := 0; i < 2; i++ {
 			payload = appendUvarint(payload, uint64(len(batch)))
 			payload = append(payload, batch...)
 		}
-		f.Add(appendFrame(nil, frame{Type: ftEvents, Codec: codecBinary, Stream: 5, Payload: payload}))
+		f.Add(appendFrame(nil, frame{Type: ftEvents, Stream: 5, Payload: payload}))
 	}
 	f.Add([]byte{})
-	f.Add([]byte{magic0, magic1, verJSON, ftRequest})
-	f.Add([]byte{magic0, magic1, verBinary, ftEvents})
+	f.Add([]byte{magic0, magic1, 1, ftRequest}) // retired JSON version
+	f.Add([]byte{magic0, magic1, version, ftEvents})
 
 	const maxFrame = 1 << 20 // keep fuzz allocations bounded
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -127,8 +126,8 @@ func FuzzWireFrame(f *testing.F) {
 }
 
 // checkCodecEquivalence asserts that decoding v's JSON serialization
-// and decoding its binary serialization produce identical structs — the
-// contract that lets the two codecs coexist on one connection.
+// and decoding its binary serialization produce identical structs —
+// encoding/json serves as the oracle for the binary codec's semantics.
 func checkCodecEquivalence(t *testing.T, v any) {
 	t.Helper()
 	bin, ok := binMarshal(v)

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
-
 	"repro/internal/deliver"
 	"repro/internal/ledger"
 	"repro/internal/service"
@@ -17,7 +15,7 @@ type request struct {
 	// deadlines propagate across the process boundary.
 	Deadline int64 `json:"deadline,omitempty"`
 	// Body is the method-specific request struct.
-	Body json.RawMessage `json:"body,omitempty"`
+	Body []byte `json:"body,omitempty"`
 }
 
 // response is the payload of an ftResponse frame. For unary calls it is
@@ -26,9 +24,9 @@ type request struct {
 // a later response without More ends the stream, carrying the reason in
 // Err.
 type response struct {
-	Err  *WireError      `json:"err,omitempty"`
-	Body json.RawMessage `json:"body,omitempty"`
-	More bool            `json:"more,omitempty"`
+	Err  *WireError `json:"err,omitempty"`
+	Body []byte     `json:"body,omitempty"`
+	More bool       `json:"more,omitempty"`
 }
 
 // WireError is the serialized form of a call error. Code maps back to

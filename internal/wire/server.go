@@ -12,20 +12,16 @@ import (
 	"repro/internal/identity"
 )
 
-// Body is a request body awaiting decoding: the raw payload bytes plus
-// the codec the client encoded them with. Handlers call Decode exactly
-// like they used to call json.Unmarshal — the codec seam keeps them
-// agnostic of which encoding the client chose. The underlying bytes are
+// Body is a request body awaiting decoding. The underlying bytes are
 // only valid until the handler returns (they live in a pooled frame
 // buffer); Decode copies everything it extracts, so decoded structs are
 // safe to retain.
 type Body struct {
-	codec codecID
-	data  []byte
+	data []byte
 }
 
-// Decode unmarshals the body into v using the frame's codec.
-func (b Body) Decode(v any) error { return unmarshalBody(b.codec, b.data, v) }
+// Decode unmarshals the body into v.
+func (b Body) Decode(v any) error { return unmarshalBody(b.data, v) }
 
 // Len returns the body's encoded size in bytes.
 func (b Body) Len() int { return len(b.data) }
@@ -49,9 +45,7 @@ type ServerOptions struct {
 
 // Server listens on one TCP address and serves registered RPC methods.
 // One server typically fronts one component (a peer, the orderer, a
-// gateway); cmd/pdcnet runs one per process. The server has no codec
-// configuration: it answers every frame in the codec the frame arrived
-// with, so one server serves binary and JSON clients at once.
+// gateway); cmd/pdcnet runs one per process.
 type Server struct {
 	handlers map[string]Handler
 	maxFrame int
@@ -170,13 +164,6 @@ func (s *Server) serveConn(nc net.Conn) {
 	// functions, so ftCancel (and connection teardown) aborts them.
 	var mu sync.Mutex
 	cancels := make(map[uint64]context.CancelFunc)
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
 
 	// Watch for server shutdown.
 	connDone := make(chan struct{})
@@ -189,8 +176,17 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 	}()
 
+	// Teardown cancels every live handler before waiting on them: a
+	// stream handler blocked on ctx.Done() only returns once canceled.
 	var hwg sync.WaitGroup
-	defer hwg.Wait()
+	defer func() {
+		mu.Lock()
+		for _, cancel := range cancels {
+			cancel()
+		}
+		mu.Unlock()
+		hwg.Wait()
+	}()
 	for {
 		f, err := cn.read()
 		if err != nil {
@@ -207,14 +203,14 @@ func (s *Server) serveConn(nc net.Conn) {
 			putBuf(f.Payload)
 		case ftRequest:
 			var req request
-			if err := unmarshalEnvelope(f.Codec, f.Payload, &req); err != nil {
+			if err := unmarshalBody(f.Payload, &req); err != nil {
 				putBuf(f.Payload)
 				cn.close(fmt.Errorf("%w: request body: %v", ErrCorrupt, err))
 				return
 			}
 			h, ok := s.handlers[req.Method]
 			if !ok {
-				s.reply(cn, f.Stream, f.Codec, nil, fmt.Errorf("wire: unknown method %q", req.Method))
+				s.reply(cn, f.Stream, nil, fmt.Errorf("wire: unknown method %q", req.Method))
 				putBuf(f.Payload)
 				continue
 			}
@@ -241,7 +237,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			// The request's payload buffer (which req.Body may alias)
 			// stays alive until the handler goroutine finishes, then
 			// recycles.
-			go func(stream uint64, codec codecID, body []byte, payload []byte) {
+			go func(stream uint64, body []byte, payload []byte) {
 				defer hwg.Done()
 				defer putBuf(payload)
 				defer func() {
@@ -250,15 +246,15 @@ func (s *Server) serveConn(nc net.Conn) {
 					mu.Unlock()
 					cancel()
 				}()
-				sink := &Sink{cn: cn, stream: stream, codec: codec}
-				result, err := h(ctx, Body{codec: codec, data: body}, sink)
+				sink := &Sink{cn: cn, stream: stream}
+				result, err := h(ctx, Body{data: body}, sink)
 				if sink.acked {
 					// Stream: terminal response ends it.
 					sink.end(err)
 					return
 				}
-				s.reply(cn, stream, codec, result, err)
-			}(f.Stream, f.Codec, req.Body, f.Payload)
+				s.reply(cn, stream, result, err)
+			}(f.Stream, req.Body, f.Payload)
 		default:
 			// Clients never send responses or events.
 			putBuf(f.Payload)
@@ -268,25 +264,21 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
-// reply sends a unary response, encoded with the codec of the request
-// it answers (the result body may independently fall back to JSON when
-// the binary codec doesn't know its type — then the whole frame goes
-// out as JSON, which the client handles per frame).
-func (s *Server) reply(cn *conn, stream uint64, c codecID, result any, err error) {
+// reply sends a unary response; a result the codec cannot encode
+// travels as the call's error.
+func (s *Server) reply(cn *conn, stream uint64, result any, err error) {
 	resp := response{}
-	respCodec := c
 	if err != nil {
 		resp.Err = encodeError(err)
 	} else if result != nil {
-		b, bc, merr := marshalBody(c, result)
+		b, merr := marshalBody(result)
 		if merr != nil {
 			resp.Err = encodeError(fmt.Errorf("wire: marshal response: %w", merr))
 		} else {
 			resp.Body = b
-			respCodec = bc
 		}
 	}
-	sendResponse(cn, stream, respCodec, &resp)
+	sendResponse(cn, stream, &resp)
 	putBuf(resp.Body)
 }
 
@@ -295,22 +287,22 @@ func (s *Server) reply(cn *conn, stream uint64, c codecID, result any, err error
 // (typically ErrFrameTooLarge for an oversized body) it retries with a
 // small internal-error response, and failing that closes the connection
 // so the client's read loop fails every pending call.
-func sendResponse(cn *conn, stream uint64, c codecID, resp *response) {
-	payload, err := marshalEnvelope(c, resp)
+func sendResponse(cn *conn, stream uint64, resp *response) {
+	payload, err := marshalBody(resp)
 	if err == nil {
-		err = cn.send(frame{Type: ftResponse, Codec: c, Stream: stream, Payload: payload})
+		err = cn.send(frame{Type: ftResponse, Stream: stream, Payload: payload})
 		putBuf(payload)
 		if err == nil {
 			return
 		}
 	}
 	cause := err
-	fallback, merr := marshalEnvelope(c, &response{Err: &WireError{
+	fallback, merr := marshalBody(&response{Err: &WireError{
 		Code:    codeInternal,
 		Message: fmt.Sprintf("wire: send response: %v", cause),
 	}})
 	if merr == nil {
-		err := cn.send(frame{Type: ftResponse, Codec: c, Stream: stream, Payload: fallback})
+		err := cn.send(frame{Type: ftResponse, Stream: stream, Payload: fallback})
 		putBuf(fallback)
 		if err == nil {
 			return
@@ -321,12 +313,10 @@ func sendResponse(cn *conn, stream uint64, c codecID, resp *response) {
 
 // Sink is a stream handler's outbound side: Ack acknowledges the
 // subscription (the client's Stream call returns), Send and SendBatch
-// emit events. Every frame a sink emits uses the codec of the request
-// that opened the stream.
+// emit events.
 type Sink struct {
 	cn     *conn
 	stream uint64
-	codec  codecID
 	acked  bool
 }
 
@@ -336,24 +326,24 @@ type Sink struct {
 // commits it must observe.
 func (k *Sink) Ack() error {
 	k.acked = true
-	payload, err := marshalEnvelope(k.codec, &response{More: true})
+	payload, err := marshalBody(&response{More: true})
 	if err != nil {
 		return err
 	}
-	err = k.cn.send(frame{Type: ftResponse, Codec: k.codec, Stream: k.stream, Payload: payload})
+	err = k.cn.send(frame{Type: ftResponse, Stream: k.stream, Payload: payload})
 	putBuf(payload)
 	return err
 }
 
 // Send emits one stream event.
 func (k *Sink) Send(ev event) error {
-	payload, err := eventPayload(k.codec, &ev)
+	payload, err := eventPayload(&ev)
 	if err != nil {
 		return err
 	}
 	// Event payloads are memoized on the event (shared across
 	// subscribers), never pooled — do not release.
-	return k.cn.send(frame{Type: ftEvent, Codec: k.codec, Stream: k.stream, Payload: payload})
+	return k.cn.send(frame{Type: ftEvent, Stream: k.stream, Payload: payload})
 }
 
 // eventBatchMax bounds how many events coalesce into one ftEvents
@@ -375,12 +365,12 @@ func (k *Sink) SendBatch(evs []event) error {
 	payloads := make([][]byte, len(evs))
 	total := 0
 	for i := range evs {
-		p, err := eventPayload(k.codec, &evs[i])
+		p, err := eventPayload(&evs[i])
 		if err != nil {
 			return err
 		}
 		payloads[i] = p
-		total += len(p) + 8 // per-event length prefix / JSON separator headroom
+		total += len(p) + 8 // per-event length prefix headroom
 	}
 	if headerSize+total+trailerSize > k.cn.maxFrame {
 		for i := range evs {
@@ -391,25 +381,12 @@ func (k *Sink) SendBatch(evs []event) error {
 		return nil
 	}
 	buf := getBuf(total + 2)
-	if k.codec == codecBinary {
-		buf = appendUvarint(buf, uint64(len(payloads)))
-		for _, p := range payloads {
-			buf = appendUvarint(buf, uint64(len(p)))
-			buf = append(buf, p...)
-		}
-	} else {
-		// The JSON batch form is a JSON array of event objects — each
-		// memoized payload is one object, so the batch is concatenation.
-		buf = append(buf, '[')
-		for i, p := range payloads {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, p...)
-		}
-		buf = append(buf, ']')
+	buf = appendUvarint(buf, uint64(len(payloads)))
+	for _, p := range payloads {
+		buf = appendUvarint(buf, uint64(len(p)))
+		buf = append(buf, p...)
 	}
-	err := k.cn.send(frame{Type: ftEvents, Codec: k.codec, Stream: k.stream, Payload: buf})
+	err := k.cn.send(frame{Type: ftEvents, Stream: k.stream, Payload: buf})
 	putBuf(buf)
 	if err == nil {
 		stats.batchFrames.Add(1)
@@ -424,24 +401,20 @@ func (k *Sink) end(err error) {
 	if err != nil && !errors.Is(err, context.Canceled) {
 		resp.Err = encodeError(err)
 	}
-	sendResponse(k.cn, k.stream, k.codec, &resp)
+	sendResponse(k.cn, k.stream, &resp)
 }
 
 // eventPayload returns the encoded event-envelope payload for ev,
 // memoized on the underlying deliver event: a block fanning out to N
-// remote subscribers is encoded once per codec, not N times.
-func eventPayload(c codecID, ev *event) ([]byte, error) {
-	slot := 0
-	if c == codecBinary {
-		slot = 1
-	}
+// remote subscribers is encoded once, not N times.
+func eventPayload(ev *event) ([]byte, error) {
 	encode := func() []byte {
-		data, err := marshalEnvelope(c, ev)
+		data, err := marshalBody(ev)
 		if err != nil {
 			return nil
 		}
 		// The memo retains the bytes indefinitely; make sure they are
-		// not a pooled buffer (marshalEnvelope's binary path pools).
+		// not a pooled buffer (marshalBody pools).
 		out := make([]byte, len(data))
 		copy(out, data)
 		putBuf(data)
@@ -450,9 +423,9 @@ func eventPayload(c codecID, ev *event) ([]byte, error) {
 	var payload []byte
 	switch {
 	case ev.Block != nil:
-		payload = ev.Block.Encoded(slot, encode)
+		payload = ev.Block.Encoded(encode)
 	case ev.Status != nil:
-		payload = ev.Status.Encoded(slot, encode)
+		payload = ev.Status.Encoded(encode)
 	default:
 		payload = encode()
 	}

@@ -3,9 +3,10 @@ package wire
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -64,6 +65,14 @@ func TestFrameCorruptionDetected(t *testing.T) {
 			t.Fatalf("flip byte %d: untyped error %v", i, err)
 		}
 	}
+	// A well-formed frame of the retired JSON protocol version (1),
+	// checksum intact, is corrupt too: version 2 is the only protocol.
+	v1 := append([]byte(nil), encoded[:len(encoded)-trailerSize]...)
+	v1[2] = 1
+	v1 = binary.BigEndian.AppendUint32(v1, crc32.Checksum(v1, castagnoli))
+	if f, err := readFrame(bytes.NewReader(v1), DefaultMaxFrame); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-1 frame: got (%+v, %v), want ErrCorrupt", f, err)
+	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
@@ -114,38 +123,37 @@ func dialT(t *testing.T, s *Server, opts ClientOptions) *Client {
 	return c
 }
 
-type echoBody struct {
-	Msg string `json:"msg"`
+// echoTxID is a unary handler echoing a txIDRequest back unchanged.
+func echoTxID(_ context.Context, body Body, _ *Sink) (any, error) {
+	var in txIDRequest
+	if err := body.Decode(&in); err != nil {
+		return nil, err
+	}
+	return &in, nil
 }
 
 func TestUnaryCall(t *testing.T) {
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"echo": func(_ context.Context, body Body, _ *Sink) (any, error) {
-			var in echoBody
+			var in txIDRequest
 			if err := body.Decode(&in); err != nil {
 				return nil, err
 			}
-			return &echoBody{Msg: in.Msg + "!"}, nil
+			return &evaluateResponse{Payload: []byte(in.TxID + "!")}, nil
 		},
 	})
 	c := dialT(t, s, ClientOptions{})
-	var out echoBody
-	if err := c.Call(context.Background(), "echo", &echoBody{Msg: "hi"}, &out); err != nil {
+	var out evaluateResponse
+	if err := c.Call(context.Background(), "echo", &txIDRequest{TxID: "hi"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Msg != "hi!" {
-		t.Fatalf("echo: got %q", out.Msg)
+	if string(out.Payload) != "hi!" {
+		t.Fatalf("echo: got %q", out.Payload)
 	}
 }
 
 func TestConcurrentCallsMultiplex(t *testing.T) {
-	s := startServer(t, ServerOptions{}, map[string]Handler{
-		"echo": func(_ context.Context, body Body, _ *Sink) (any, error) {
-			var in echoBody
-			body.Decode(&in)
-			return &in, nil
-		},
-	})
+	s := startServer(t, ServerOptions{}, map[string]Handler{"echo": echoTxID})
 	c := dialT(t, s, ClientOptions{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -154,13 +162,13 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fmt.Sprintf("msg-%d", i)
-			var out echoBody
-			if err := c.Call(context.Background(), "echo", &echoBody{Msg: want}, &out); err != nil {
+			var out txIDRequest
+			if err := c.Call(context.Background(), "echo", &txIDRequest{TxID: want}, &out); err != nil {
 				errs <- err
 				return
 			}
-			if out.Msg != want {
-				errs <- fmt.Errorf("call %d: got %q", i, out.Msg)
+			if out.TxID != want {
+				errs <- fmt.Errorf("call %d: got %q", i, out.TxID)
 			}
 		}(i)
 	}
@@ -353,14 +361,14 @@ func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 	}
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"err": func(_ context.Context, body Body, _ *Sink) (any, error) {
-			var idx int
+			var idx handleRequest
 			body.Decode(&idx)
-			return nil, fmt.Errorf("wrapped: %w", sentinelErrs[idx])
+			return nil, fmt.Errorf("wrapped: %w", sentinelErrs[idx.Handle])
 		},
 	})
 	c := dialT(t, s, ClientOptions{})
 	for i, want := range sentinelErrs {
-		err := c.Call(context.Background(), "err", i, nil)
+		err := c.Call(context.Background(), "err", &handleRequest{Handle: uint64(i)}, nil)
 		if !errors.Is(err, want) {
 			t.Errorf("sentinel %v: got %v", want, err)
 		}
@@ -387,25 +395,67 @@ func TestOverloadedErrorKeepsRetryHint(t *testing.T) {
 // --- connection lifecycle ---
 
 func TestCallsFailAfterServerClose(t *testing.T) {
-	s := startServer(t, ServerOptions{}, map[string]Handler{
-		"echo": func(_ context.Context, body Body, _ *Sink) (any, error) {
-			var in echoBody
-			if err := body.Decode(&in); err != nil {
-				return nil, err
-			}
-			return &in, nil
-		},
-	})
+	s := startServer(t, ServerOptions{}, map[string]Handler{"echo": echoTxID})
 	c := dialT(t, s, ClientOptions{})
-	if err := c.Call(context.Background(), "echo", &echoBody{Msg: "a"}, nil); err != nil {
+	if err := c.Call(context.Background(), "echo", &txIDRequest{TxID: "a"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	// The dead connection must fail calls, not hang them.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := c.Call(ctx, "echo", &echoBody{Msg: "b"}, nil); err == nil {
+	if err := c.Call(ctx, "echo", &txIDRequest{TxID: "b"}, nil); err == nil {
 		t.Fatal("call after server close succeeded")
+	}
+}
+
+// TestServerCloseAfterConnDropWithLiveStream: a connection that drops
+// without ftCancel while a stream handler waits on ctx.Done() must not
+// wedge Server.Close — connection teardown cancels live handlers before
+// waiting on them.
+func TestServerCloseAfterConnDropWithLiveStream(t *testing.T) {
+	s, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Handle("live", func(ctx context.Context, _ Body, sink *Sink) (any, error) {
+		if err := sink.Ack(); err != nil {
+			return nil, err
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn := newConn(nc, DefaultMaxFrame)
+	payload, ok := binMarshal(&request{Method: "live"})
+	if !ok {
+		t.Fatal("request not binary-marshalable")
+	}
+	if err := cn.send(frame{Type: ftRequest, Stream: 1, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the Ack: the handler is now parked on ctx.Done().
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if f, err := cn.read(); err != nil || f.Type != ftResponse {
+		t.Fatalf("stream ack: frame type %d, err %v", f.Type, err)
+	}
+	cn.close(nil) // hang up without cancelling the stream
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close hung on a dropped connection's live stream handler")
 	}
 }
 
@@ -427,22 +477,14 @@ func testIdentity(t *testing.T, subject string) *identity.Identity {
 func TestTLSPinnedKey(t *testing.T) {
 	serverID := testIdentity(t, "peer0.org1")
 	clientID := testIdentity(t, "client0.org1")
-	s := startServer(t, ServerOptions{Identity: serverID}, map[string]Handler{
-		"echo": func(_ context.Context, body Body, _ *Sink) (any, error) {
-			var in echoBody
-			if err := body.Decode(&in); err != nil {
-				return nil, err
-			}
-			return &in, nil
-		},
-	})
+	s := startServer(t, ServerOptions{Identity: serverID}, map[string]Handler{"echo": echoTxID})
 	c := dialT(t, s, ClientOptions{Identity: clientID, ServerKey: serverID.Cert.PubKey})
-	var out echoBody
-	if err := c.Call(context.Background(), "echo", &echoBody{Msg: "secure"}, &out); err != nil {
+	var out txIDRequest
+	if err := c.Call(context.Background(), "echo", &txIDRequest{TxID: "secure"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Msg != "secure" {
-		t.Fatalf("echo over TLS: got %q", out.Msg)
+	if out.TxID != "secure" {
+		t.Fatalf("echo over TLS: got %q", out.TxID)
 	}
 }
 
@@ -450,22 +492,14 @@ func TestTLSWrongPinnedKeyRejected(t *testing.T) {
 	serverID := testIdentity(t, "peer0.org1")
 	imposter := testIdentity(t, "peer0.org1") // same name, different key
 	clientID := testIdentity(t, "client0.org1")
-	s := startServer(t, ServerOptions{Identity: serverID}, map[string]Handler{
-		"echo": func(_ context.Context, body Body, _ *Sink) (any, error) {
-			var in echoBody
-			if err := body.Decode(&in); err != nil {
-				return nil, err
-			}
-			return &in, nil
-		},
-	})
+	s := startServer(t, ServerOptions{Identity: serverID}, map[string]Handler{"echo": echoTxID})
 	c, err := Dial(s.Addr().String(), ClientOptions{Identity: clientID, ServerKey: imposter.Cert.PubKey})
 	if err == nil {
 		// The handshake may complete lazily; the first call must fail.
 		defer c.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if cerr := c.Call(ctx, "echo", &echoBody{Msg: "x"}, nil); cerr == nil {
+		if cerr := c.Call(ctx, "echo", &txIDRequest{TxID: "x"}, nil); cerr == nil {
 			t.Fatal("call over mis-pinned TLS succeeded")
 		}
 	}
@@ -511,19 +545,16 @@ func TestEventStreamCloseRacesPush(t *testing.T) {
 // TestOversizedResponseSurfacesError: a response the connection cannot
 // carry must come back as an error, not leave Call blocked forever.
 func TestOversizedResponseSurfacesError(t *testing.T) {
-	big := make([]byte, 8<<10)
-	for i := range big {
-		big[i] = 'x'
-	}
+	big := bytes.Repeat([]byte("x"), 8<<10)
 	s := startServer(t, ServerOptions{MaxFrame: 1024}, map[string]Handler{
 		"big": func(_ context.Context, _ Body, _ *Sink) (any, error) {
-			return &echoBody{Msg: string(big)}, nil
+			return &evaluateResponse{Payload: big}, nil
 		},
 	})
 	c := dialT(t, s, ClientOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	err := c.Call(ctx, "big", nil, &echoBody{})
+	err := c.Call(ctx, "big", nil, &evaluateResponse{})
 	if err == nil {
 		t.Fatal("oversized response succeeded")
 	}
@@ -553,9 +584,9 @@ func TestStreamIDReuseDropsConnection(t *testing.T) {
 	}
 	defer nc.Close()
 	cn := newConn(nc, DefaultMaxFrame)
-	payload, err := json.Marshal(&request{Method: "wait"})
-	if err != nil {
-		t.Fatal(err)
+	payload, ok := binMarshal(&request{Method: "wait"})
+	if !ok {
+		t.Fatal("request not binary-marshalable")
 	}
 	for i := 0; i < 2; i++ {
 		if err := cn.send(frame{Type: ftRequest, Stream: 7, Payload: payload}); err != nil {
