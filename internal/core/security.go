@@ -46,11 +46,6 @@ type SecurityConfig struct {
 	// value (see TestPipelineDeterminism).
 	ValidationWorkers int
 
-	// VerifyCacheSize caps the validator's LRU endorsement-verification
-	// cache (identity.VerifyCache). 0 selects the default capacity;
-	// negative disables caching.
-	VerifyCacheSize int
-
 	// ReconcileMaxAttempts bounds the anti-entropy reconciler's attempts
 	// per missing (txID, collection) entry before it gives up
 	// (internal/reconcile). 0 selects reconcile.DefaultMaxAttempts.
@@ -74,12 +69,6 @@ type SecurityConfig struct {
 	// transient store; the oldest entries are evicted first. 0 means
 	// unbounded.
 	TransientMaxEntries int
-
-	// DeliverBufferSize bounds each delivery-service subscriber's event
-	// buffer (internal/deliver); a subscriber that falls further behind
-	// than this is evicted rather than blocking the commit path. 0
-	// selects deliver.DefaultBufferSize.
-	DeliverBufferSize int
 
 	// StorageBackend selects each peer's storage backend by registered
 	// name ("memory", "durable", "null"; see internal/storage and

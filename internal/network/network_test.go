@@ -48,31 +48,41 @@ func newTestNet(t *testing.T) *Network {
 	return n
 }
 
+// TestPublicTransactionRoundTrip commits a public write through the full
+// network (endorse, order, validate, commit) and reads it back; the
+// 16KiB case carries a large value through every stage.
 func TestPublicTransactionRoundTrip(t *testing.T) {
 	n := newTestNet(t)
 	cl := n.Gateway("org1")
 
-	res, err := submitTx(cl, n.Peers(), "asset", "set", []string{"k1", "hello"}, nil)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if res.Code != ledger.Valid {
-		t.Fatalf("tx code = %v, want Valid", res.Code)
-	}
+	for _, tc := range []struct{ name, key, value string }{
+		{"small", "k1", "hello"},
+		{"16KiB", "k2", strings.Repeat("v", 16<<10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := submitTx(cl, n.Peers(), "asset", "set", []string{tc.key, tc.value}, nil)
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			if res.Code != ledger.Valid {
+				t.Fatalf("tx code = %v, want Valid", res.Code)
+			}
 
-	for _, p := range n.Peers() {
-		value, ver, ok := p.WorldState().Get("asset", "k1")
-		if !ok || string(value) != "hello" || ver != 1 {
-			t.Errorf("peer %s: got (%q, v%d, %v), want (hello, v1, true)", p.Name(), value, ver, ok)
-		}
-	}
+			for _, p := range n.Peers() {
+				value, ver, ok := p.WorldState().Get("asset", tc.key)
+				if !ok || string(value) != tc.value || ver != 1 {
+					t.Errorf("peer %s: got (%d bytes, v%d, %v), want (%d bytes, v1, true)", p.Name(), len(value), ver, ok, len(tc.value))
+				}
+			}
 
-	payload, err := evalTx(cl, n.Peer("org2"), "asset", "get", "k1")
-	if err != nil {
-		t.Fatalf("evaluate: %v", err)
-	}
-	if string(payload) != "hello" {
-		t.Fatalf("evaluate payload = %q, want hello", payload)
+			payload, err := evalTx(cl, n.Peer("org2"), "asset", "get", tc.key)
+			if err != nil {
+				t.Fatalf("evaluate: %v", err)
+			}
+			if string(payload) != tc.value {
+				t.Fatalf("evaluate payload = %d bytes, want %d", len(payload), len(tc.value))
+			}
+		})
 	}
 }
 

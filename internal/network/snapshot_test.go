@@ -18,11 +18,13 @@ import (
 
 // newSnapshotNet is newTestNet with BlockToLive on the collection, so
 // commits leave a pending purge schedule for snapshots to carry.
-func newSnapshotNet(t *testing.T) *Network {
+// batchSize is the orderer block-cut threshold (0 = the default of 1).
+func newSnapshotNet(t testing.TB, batchSize int) *Network {
 	t.Helper()
 	n, err := New(Options{
-		Orgs: []string{"org1", "org2", "org3"},
-		Seed: 43,
+		Orgs:      []string{"org1", "org2", "org3"},
+		BatchSize: batchSize,
+		Seed:      43,
 	})
 	if err != nil {
 		t.Fatalf("build network: %v", err)
@@ -92,7 +94,7 @@ func buildHistory(t *testing.T, n *Network, withPrivateDelete bool) {
 }
 
 func TestSnapshotJoinMatchesReplayJoin(t *testing.T) {
-	n := newSnapshotNet(t)
+	n := newSnapshotNet(t, 0)
 	buildHistory(t, n, false)
 	source := n.Peer("org2")
 
@@ -176,7 +178,7 @@ func TestSnapshotJoinMatchesReplayJoin(t *testing.T) {
 // the peer and the artifact directory untouched — undoing the
 // corruption makes the same install succeed on the same peer object.
 func TestInstallCorruptSnapshotRetries(t *testing.T) {
-	n := newSnapshotNet(t)
+	n := newSnapshotNet(t, 0)
 	buildHistory(t, n, true)
 	source := n.Peer("org2")
 	dir := filepath.Join(t.TempDir(), "snap")
@@ -251,7 +253,7 @@ func TestInstallCorruptSnapshotRetries(t *testing.T) {
 // restarting over it, reproduces the exporter's state byte for byte.
 // The durable sibling of this test is TestCrashMidCommitRecovery.
 func TestKillMidInstallRecovery(t *testing.T) {
-	n := newSnapshotNet(t)
+	n := newSnapshotNet(t, 0)
 	buildHistory(t, n, true)
 	source := n.Peer("org2")
 	dir := filepath.Join(t.TempDir(), "snap")

@@ -190,11 +190,10 @@ func New(cfg Config) (*Peer, error) {
 		Timings:     &p.timings,
 	})
 	p.delivery = deliver.New(deliver.Config{
-		Source:     p.blocks,
-		Missing:    p.MissingPrivateData,
-		BufferSize: cfg.Security.DeliverBufferSize,
-		Metrics:    &p.metrics,
-		Timings:    &p.timings,
+		Source:  p.blocks,
+		Missing: p.MissingPrivateData,
+		Metrics: &p.metrics,
+		Timings: &p.timings,
 	})
 	cfg.Gossip.Join(p)
 	return p, nil

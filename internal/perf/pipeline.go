@@ -2,12 +2,8 @@ package perf
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/ledger"
-	"repro/internal/metrics"
 )
 
 // pipelineTarget is the peer whose validation pipeline the block
@@ -62,128 +58,8 @@ func (h *Harness) CommitBlock(block *ledger.Block) error {
 	return h.h.net.Peer(pipelineTarget).CommitBlock(block)
 }
 
-// SetValidationWorkers reconfigures the pipeline target peer's worker
-// pool without rebuilding the network.
-func (h *Harness) SetValidationWorkers(workers int) {
-	sec := h.h.net.Security()
-	sec.ValidationWorkers = workers
-	h.h.net.Peer(pipelineTarget).SetSecurity(sec)
-}
-
 // FlushVerifyCache drops the pipeline target peer's memoized endorsement
 // verifications, so a measurement starts from the uncached path.
 func (h *Harness) FlushVerifyCache() {
 	h.h.net.Peer(pipelineTarget).Validator().FlushVerifyCache()
-}
-
-// TargetTimings returns the pipeline target peer's per-phase validation
-// latency histograms.
-func (h *Harness) TargetTimings() map[string]metrics.HistogramSnapshot {
-	return h.h.net.Peer(pipelineTarget).Timings()
-}
-
-// TargetMetrics returns the pipeline target peer's counters (including
-// the verify-cache hit/miss counts).
-func (h *Harness) TargetMetrics() map[string]uint64 {
-	return h.h.net.Peer(pipelineTarget).Metrics()
-}
-
-// BlockValidationResult is one pipeline measurement: committing `Blocks`
-// blocks of `TxsPerBlock` endorsed transactions with a given worker
-// count.
-type BlockValidationResult struct {
-	Workers     int
-	Blocks      int
-	TxsPerBlock int
-	Elapsed     time.Duration
-	// TPS is committed transactions per second of validation-phase wall
-	// time (endorsement and block assembly excluded).
-	TPS float64
-}
-
-// MeasureBlockValidation measures commit throughput of the block
-// validation pipeline for each worker count, on one shared network (same
-// identities, same chaincode, fresh keys per block). The verify cache is
-// flushed before each worker setting so every run pays the same
-// first-touch verification costs.
-func MeasureBlockValidation(sec core.SecurityConfig, workerCounts []int, blocks, txsPerBlock int) ([]BlockValidationResult, error) {
-	h, err := NewHarness(sec, 0)
-	if err != nil {
-		return nil, err
-	}
-	run := 0
-	out := make([]BlockValidationResult, 0, len(workerCounts))
-	for _, workers := range workerCounts {
-		h.SetValidationWorkers(workers)
-		h.FlushVerifyCache()
-		var elapsed time.Duration
-		for b := 0; b < blocks; b++ {
-			txs, err := h.EndorseTxs(run, txsPerBlock)
-			run++
-			if err != nil {
-				return nil, err
-			}
-			block := h.BuildBlock(txs)
-			start := time.Now()
-			if err := h.CommitBlock(block); err != nil {
-				return nil, fmt.Errorf("perf: commit with %d workers: %w", workers, err)
-			}
-			elapsed += time.Since(start)
-		}
-		total := blocks * txsPerBlock
-		res := BlockValidationResult{
-			Workers:     workers,
-			Blocks:      blocks,
-			TxsPerBlock: txsPerBlock,
-			Elapsed:     elapsed,
-		}
-		if elapsed > 0 {
-			res.TPS = float64(total) / elapsed.Seconds()
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// RenderBlockValidation prints the pipeline comparison with each row's
-// speedup relative to the first (normally workers=1).
-func RenderBlockValidation(results []BlockValidationResult) string {
-	var b strings.Builder
-	b.WriteString("Block validation pipeline throughput\n")
-	fmt.Fprintf(&b, "%-10s%-10s%-14s%-12s%-10s\n", "workers", "txs", "elapsed", "tx/s", "speedup")
-	var base float64
-	for i, r := range results {
-		if i == 0 {
-			base = r.TPS
-		}
-		speedup := "n/a"
-		if base > 0 {
-			speedup = fmt.Sprintf("%.2fx", r.TPS/base)
-		}
-		fmt.Fprintf(&b, "%-10d%-10d%-14s%-12.0f%-10s\n",
-			r.Workers, r.Blocks*r.TxsPerBlock, r.Elapsed.Round(time.Microsecond), r.TPS, speedup)
-	}
-	return b.String()
-}
-
-// RenderTimings prints the per-phase validation latency histograms in a
-// stable order.
-func RenderTimings(snap map[string]metrics.HistogramSnapshot) string {
-	var b strings.Builder
-	b.WriteString("Per-phase validation latency (per transaction)\n")
-	fmt.Fprintf(&b, "%-10s%-10s%-14s%-14s%-14s\n", "phase", "count", "mean", "p95", "max")
-	for _, name := range []string{
-		metrics.ValidateVerify, metrics.ValidatePolicy,
-		metrics.ValidateMVCC, metrics.ValidateCommit,
-	} {
-		s, ok := snap[name]
-		if !ok {
-			continue
-		}
-		label := strings.TrimPrefix(name, "validate_")
-		fmt.Fprintf(&b, "%-10s%-10d%-14s%-14s%-14s\n",
-			label, s.Count, s.Mean().Round(time.Nanosecond),
-			s.Quantile(0.95), s.Max)
-	}
-	return b.String()
 }

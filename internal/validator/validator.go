@@ -101,7 +101,7 @@ func New(cfg Config) *Validator {
 		selfOrg:    cfg.SelfOrg,
 		channelCfg: cfg.Channel,
 		verifier:   cfg.Verifier,
-		vcache:     identity.NewVerifyCache(cfg.Verifier, cfg.Security.VerifyCacheSize, cfg.Metrics),
+		vcache:     identity.NewVerifyCache(cfg.Verifier, identity.DefaultVerifyCacheSize, cfg.Metrics),
 		dedupe:     dd,
 		defs:       cfg.Defs,
 		db:         cfg.DB,

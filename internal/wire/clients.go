@@ -262,7 +262,7 @@ func (o *OrdererClient) Blocks(ctx context.Context, from uint64) (service.Stream
 }
 
 // GatewayClient speaks to a served gateway and satisfies
-// service.Gateway: the loadgen harness drives remote fleets through it.
+// service.Gateway: clients of a remote cluster submit through it.
 type GatewayClient struct {
 	c *Client
 }

@@ -10,7 +10,7 @@ import (
 // Transport-wide counters and timings, shared by every connection in
 // the process. Counters are atomics (the hot path must not take a lock
 // per frame); the encode/decode histograms reuse metrics.Timings so
-// fabricbench and peers render them like every other subsystem.
+// benchmarks and peers render them like every other subsystem.
 // node.StartPeer registers MetricsSnapshot as a peer metrics source, so
 // the wire_* counters surface through peer.Metrics() beside statedb and
 // dedup stats.
